@@ -72,30 +72,11 @@ func main() {
 }
 
 func runServer(pc transport.PacketConn, endpoint string, flows int, lifetime time.Duration) {
-	fab := fabric.NewFabric()
-	// Clients occupy addresses 1..99; all reachable back through the peer
-	// endpoint recorded per inbound frame is not needed — the route table
-	// is filled lazily from the first client's -listen via its frames'
-	// source. For simplicity the server echoes through a wildcard route
-	// installed at first contact.
-	routes := transport.NewRouteTable()
-	bridge := transport.NewBridge(fab, &learningConn{PacketConn: pc, routes: routes}, routes)
-	defer bridge.Close()
-
-	nic, err := fab.CreateNIC(serverNICAddr, flows, 4096)
+	srv, stop, err := startServer(pc, flows)
 	if err != nil {
 		fatal(err)
 	}
-	srv := core.NewRpcThreadedServer(nic, core.ServerConfig{})
-	if err := srv.Register(fnEcho, "load.echo", func(_ context.Context, req []byte) ([]byte, error) {
-		return req, nil
-	}); err != nil {
-		fatal(err)
-	}
-	if err := srv.Start(); err != nil {
-		fatal(err)
-	}
-	defer srv.Stop()
+	defer stop()
 	fmt.Printf("daggerload server: NIC %d on %s, %d flows\n", serverNICAddr, endpoint, flows)
 	if lifetime > 0 {
 		time.Sleep(lifetime)
@@ -105,49 +86,70 @@ func runServer(pc transport.PacketConn, endpoint string, flows int, lifetime tim
 	fmt.Printf("served %d requests\n", srv.Handled.Load())
 }
 
+// startServer runs the echo server on a fresh fabric bridged over pc. stop
+// shuts the server and the bridge down.
+func startServer(pc transport.PacketConn, flows int) (*core.RpcThreadedServer, func(), error) {
+	fab := fabric.NewFabric()
+	nic, err := fab.CreateNIC(serverNICAddr, flows, 4096)
+	if err != nil {
+		return nil, nil, err
+	}
+	srv := core.NewRpcThreadedServer(nic, core.ServerConfig{})
+	if err := srv.Register(fnEcho, "load.echo", func(_ context.Context, req []byte) ([]byte, error) {
+		return req, nil
+	}); err != nil {
+		return nil, nil, err
+	}
+	if err := srv.Start(); err != nil {
+		return nil, nil, err
+	}
+	// Client NIC addresses live below the server's; learningConn routes
+	// them to the first client's endpoint at first contact.
+	routes := transport.NewRouteTable()
+	learn := &learningConn{PacketConn: pc, routes: routes, known: map[string]error{}}
+	bridge := transport.NewBridge(fab, learn, routes)
+	return srv, func() {
+		srv.Stop()
+		bridge.Close()
+	}, nil
+}
+
 // learningConn fills the route table from observed frame sources, so the
-// server can answer clients at any address range without pre-configuration.
+// server can answer a client at any endpoint without pre-configuration.
+// Every client uses the same NIC address range, so only the first source
+// gets a route; frames from any other source are dropped, since responses
+// to them would resolve to the first client.
 type learningConn struct {
 	transport.PacketConn
 	routes *transport.RouteTable
 	mu     sync.Mutex
-	known  map[string]bool
+	known  map[string]error // source -> route error, nil once routed
 }
 
 func (l *learningConn) SetHandler(h func([]byte, string)) {
 	l.PacketConn.SetHandler(func(pkt []byte, from string) {
 		l.mu.Lock()
-		if l.known == nil {
-			l.known = map[string]bool{}
-		}
-		if !l.known[from] {
-			l.known[from] = true
-			// Client NIC addresses live below the server's.
-			l.routes.Add(transport.Route{Lo: clientNICBase, Hi: serverNICAddr - 1, Endpoint: from})
+		err, seen := l.known[from]
+		if !seen {
+			err = l.routes.Add(transport.Route{Lo: clientNICBase, Hi: serverNICAddr - 1, Endpoint: from})
+			if err != nil {
+				fmt.Fprintf(os.Stderr, "daggerload: dropping frames from %s: %v\n", from, err)
+			}
+			l.known[from] = err
 		}
 		l.mu.Unlock()
-		h(pkt, from)
+		if err == nil {
+			h(pkt, from)
+		}
 	})
 }
 
 func runClient(pc transport.PacketConn, peer string, clients, requests, payload int) {
-	fab := fabric.NewFabric()
-	routes := transport.NewRouteTable(transport.Route{Lo: serverNICAddr, Hi: serverNICAddr, Endpoint: peer})
-	bridge := transport.NewBridge(fab, pc, routes)
-	defer bridge.Close()
-
-	nic, err := fab.CreateNIC(clientNICBase, clients, 4096)
+	pool, stop, err := dialServer(pc, peer, clients)
 	if err != nil {
 		fatal(err)
 	}
-	pool, err := core.NewRpcClientPool(nic, clients)
-	if err != nil {
-		fatal(err)
-	}
-	defer pool.Close()
-	if _, err := pool.ConnectAll(serverNICAddr); err != nil {
-		fatal(err)
-	}
+	defer stop()
 
 	req := make([]byte, payload)
 	var mu sync.Mutex
@@ -182,6 +184,32 @@ func runClient(pc transport.PacketConn, peer string, clients, requests, payload 
 	fmt.Printf("  latency: med=%.1fus p90=%.1fus p99=%.1fus max=%.1fus\n",
 		float64(hist.Percentile(50))/1e3, float64(hist.Percentile(90))/1e3,
 		float64(hist.Percentile(99))/1e3, float64(hist.Max())/1e3)
+}
+
+// dialServer builds a client pool on a fresh fabric bridged over pc to the
+// server at peer, with every client connected. stop closes the pool and the
+// bridge.
+func dialServer(pc transport.PacketConn, peer string, clients int) (*core.RpcClientPool, func(), error) {
+	fab := fabric.NewFabric()
+	nic, err := fab.CreateNIC(clientNICBase, clients, 4096)
+	if err != nil {
+		return nil, nil, err
+	}
+	pool, err := core.NewRpcClientPool(nic, clients)
+	if err != nil {
+		return nil, nil, err
+	}
+	bridge := transport.NewBridge(fab, pc,
+		transport.NewRouteTable(transport.Route{Lo: serverNICAddr, Hi: serverNICAddr, Endpoint: peer}))
+	stop := func() {
+		pool.Close()
+		bridge.Close()
+	}
+	if _, err := pool.ConnectAll(serverNICAddr); err != nil {
+		stop()
+		return nil, nil, err
+	}
+	return pool, stop, nil
 }
 
 func fatal(err error) {

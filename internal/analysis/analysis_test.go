@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"io/fs"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -211,22 +212,31 @@ func TestLoaderRealPackages(t *testing.T) {
 	}
 }
 
-// TestRepoClean runs every analyzer over the live packages they scope to;
-// the repo must stay violation-free, which is the same gate cmd/daggervet
-// enforces in CI.
+// TestRepoClean runs every analyzer over every package under internal/ and
+// examples/ (analyzers skip packages outside their scope); the repo must stay
+// violation-free, which is the same gate cmd/daggervet enforces in CI.
 func TestRepoClean(t *testing.T) {
 	loader, err := sharedLoader()
 	if err != nil {
 		t.Fatal(err)
 	}
-	dirs := []string{
-		"../sim", "../dataplane", "../connstate", "../interconnect", "../nicmodel",
-		"../netmodel", "../microsim", "../experiments", "../overload",
-		"../core", "../transport", "../fabric", "../ringbuf", "../wire",
-		"../faults",
-		"../../examples/quickstart", "../../examples/kvs",
-		"../../examples/flight", "../../examples/socialnet",
-		"../../examples/multitenant",
+	var dirs []string
+	for _, root := range []string{"..", "../../examples"} {
+		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+			if err != nil || !d.IsDir() {
+				return err
+			}
+			if d.Name() == "testdata" {
+				return filepath.SkipDir
+			}
+			if files, _ := filepath.Glob(filepath.Join(path, "*.go")); len(files) > 0 {
+				dirs = append(dirs, path)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
 	all := []*Analyzer{SimDeterminism, LockSafety, HotPathAlloc, ErrCheckLite, BufOwnership, BudgetFlow, ShedCheck}
 	for _, dir := range dirs {

@@ -44,7 +44,6 @@ var shedScopes = []string{
 	"dagger/internal/fabric",
 	"dagger/internal/nicmodel",
 	"dagger/internal/microsim",
-	"dagger/internal/overload",
 	"dagger/internal/experiments",
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"context"
+	"errors"
 	"testing"
 	"time"
 
@@ -87,5 +88,73 @@ func TestDuplicateDeliveryAtLeastOnce(t *testing.T) {
 	}
 	if got := cli.Late.Load(); got != n {
 		t.Fatalf("client late responses = %d, want %d (one per duplicate)", got, n)
+	}
+}
+
+// TestChaosInFabricEcho pins the chaos story's in-fabric gates: serial echo
+// calls through a server NIC whose admission stage drops, duplicates, delays,
+// reorders and corrupts at 1% per class. A faulted call may time out, but
+// none may fail otherwise, no corrupted payload may be accepted, the NIC
+// must catch exactly the corrupt frames the seed's plan injects, and
+// goodput must stay at or above 90%.
+func TestChaosInFabricEcho(t *testing.T) {
+	const (
+		calls = 400
+		ppm   = 10_000
+	)
+	cfg := faults.Config{
+		Seed:  0xC4A05,
+		Rates: faults.Rates{Drop: ppm, Duplicate: ppm, Delay: ppm, Reorder: ppm, Corrupt: ppm},
+	}
+	// Each serial call admits exactly one request frame at the server NIC,
+	// so the plan for calls admissions is the run's fault schedule.
+	wantCorrupts := faults.CountClasses(faults.Plan(cfg, calls))[faults.CorruptBit]
+	if wantCorrupts < 3 {
+		t.Fatalf("seed plans only %d corrupts over %d admissions; the catch gate would be vacuous", wantCorrupts, calls)
+	}
+	inj, err := faults.NewInjector(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cli, snic, shutdown := connPair(t, 1, 0)
+	defer shutdown()
+	snic.SetFaultInjector(inj)
+	if _, err := cli.OpenConnection(2); err != nil {
+		t.Fatal(err)
+	}
+	// A dropped request costs one timeout and no more.
+	cli.SetTimeout(50 * time.Millisecond)
+
+	payload := []byte("chaos-pattern-0123456789abcdef")
+	succeeded := 0
+	for i := 0; i < calls; i++ {
+		resp, err := cli.Call(0, payload)
+		switch {
+		case err == nil:
+			if !bytes.Equal(resp, payload) {
+				t.Fatalf("call %d: corrupted payload accepted: %q", i, resp)
+			}
+			succeeded++
+			cli.Release(resp)
+		case errors.Is(err, ErrTimeout):
+			// A faulted request: bounded by the timeout, never a hang.
+		default:
+			t.Fatalf("call %d failed outside the fault model: %v", i, err)
+		}
+	}
+	snic.FlushFaults()
+
+	if got := inj.Issued(); got != calls {
+		t.Fatalf("server NIC drew %d verdicts, want %d (one per request)", got, calls)
+	}
+	s := snic.Metrics().Snapshot()
+	if got := s.Value("fault.corrupted"); got != int64(wantCorrupts) {
+		t.Fatalf("fault.corrupted = %d, want %d (planned)", got, wantCorrupts)
+	}
+	if caught := s.Value("fault.corrupt.dropped"); caught != int64(wantCorrupts) {
+		t.Fatalf("NIC caught %d of %d corrupted frames; the rest were dispatched", caught, wantCorrupts)
+	}
+	if succeeded*10 < calls*9 {
+		t.Fatalf("only %d of %d calls succeeded at 1%% per-class faults", succeeded, calls)
 	}
 }

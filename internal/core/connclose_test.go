@@ -10,11 +10,11 @@ import (
 )
 
 // connPair builds a client and started echo server over NICs with an
-// explicit server-side connection cache capacity.
-func connPair(t *testing.T, connCache int) (*RpcClient, *fabric.SoftNIC, func()) {
+// explicit client flow count and server-side connection cache capacity.
+func connPair(t *testing.T, clientFlows, connCache int) (*RpcClient, *fabric.SoftNIC, func()) {
 	t.Helper()
 	f := fabric.NewFabric()
-	cnic, err := f.CreateNIC(1, 2, 256)
+	cnic, err := f.CreateNIC(1, clientFlows, 256)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func connPair(t *testing.T, connCache int) (*RpcClient, *fabric.SoftNIC, func())
 // steering entry (OpenCount back to baseline), and a post-close call fails
 // with the ErrConnNotOpen sentinel instead of being silently re-steered.
 func TestClosePropagationEndToEnd(t *testing.T) {
-	cli, snic, shutdown := connPair(t, 0)
+	cli, snic, shutdown := connPair(t, 2, 0)
 	defer shutdown()
 	id, err := cli.OpenConnection(2)
 	if err != nil {
@@ -113,7 +113,7 @@ func TestClosePropagationEndToEnd(t *testing.T) {
 // one server cache slot and checks the miss makes the full round trip:
 // fabric stamp → server echo → client counter.
 func TestConnMissEchoedToClient(t *testing.T) {
-	cli, snic, shutdown := connPair(t, 4)
+	cli, snic, shutdown := connPair(t, 2, 4)
 	defer shutdown()
 	// A 2-flow client NIC mints ids 1, 3, 5, …; ids 1 and 5 alias one slot
 	// of a size-4 cache.
@@ -146,7 +146,7 @@ func TestConnMissEchoedToClient(t *testing.T) {
 	if got := cli.ConnMisses.Load(); got != 2 {
 		t.Fatalf("client conn misses = %d, want 2 (echoed FlagConnMiss)", got)
 	}
-	if got := snic.ConnMisses(); got != 2 {
+	if got := snic.Metrics().Snapshot().Value("conn.misses"); got != 2 {
 		t.Fatalf("server NIC conn misses = %d, want 2", got)
 	}
 	// A conflict-free id stays hit-only.
@@ -154,5 +154,71 @@ func TestConnMissEchoedToClient(t *testing.T) {
 	call(ids[1])
 	if got := cli.ConnMisses.Load(); got != 2 {
 		t.Fatalf("conflict-free connection echoed a miss (total %d)", got)
+	}
+}
+
+// TestConnMissCountsAtScale pins the connscale story's functional gates as
+// exact counts: a C=32 server cache and a one-flow client, so minted ids are
+// dense (1, 2, 3, …) and cover every direct-mapped slot. C/2 connections fit
+// without a miss; 2C connections put two alternating ids in every slot, so
+// after the first round every lookup misses and is echoed to the client; and
+// closing everything drains the server table.
+func TestConnMissCountsAtScale(t *testing.T) {
+	const (
+		cache  = 32
+		rounds = 3
+	)
+	cli, snic, shutdown := connPair(t, 1, cache)
+	defer shutdown()
+	var ids []uint32
+	open := func(k int) {
+		t.Helper()
+		for i := 0; i < k; i++ {
+			id, err := cli.OpenConnection(2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ids = append(ids, id)
+		}
+	}
+	callRounds := func() {
+		t.Helper()
+		for r := 0; r < rounds; r++ {
+			for _, id := range ids {
+				resp, err := cli.CallConn(id, 0, []byte("connscale"))
+				if err != nil {
+					t.Fatalf("conn %d: %v", id, err)
+				}
+				cli.Release(resp)
+			}
+		}
+	}
+	counts := func() (server, echoed int64) {
+		return snic.Metrics().Snapshot().Value("conn.misses"),
+			cli.Metrics().Snapshot().Value("conn.miss.echoed")
+	}
+
+	open(cache / 2)
+	callRounds()
+	if server, echoed := counts(); server != 0 || echoed != 0 {
+		t.Fatalf("fit: %d conns in a %d-entry cache: server misses %d, client echoes %d, want 0/0",
+			len(ids), cache, server, echoed)
+	}
+
+	open(2*cache - len(ids))
+	callRounds()
+	want := int64(2 * cache * (rounds - 1))
+	if server, echoed := counts(); server != want || echoed != want {
+		t.Fatalf("spill: %d conns over %d rounds: server misses %d, client echoes %d, want %d/%d",
+			len(ids), rounds, server, echoed, want, want)
+	}
+
+	for _, id := range ids {
+		if err := cli.CloseConnection(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := snic.Metrics().Snapshot().Value("conn.open"); got != 0 {
+		t.Fatalf("server conn.open after closing all %d conns = %d, want 0", len(ids), got)
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"dagger/internal/interconnect"
 	"dagger/internal/metrics"
 	"dagger/internal/nicmodel"
-	"dagger/internal/overload"
 	"dagger/internal/sim"
 	"dagger/internal/stats"
 )
@@ -19,9 +18,10 @@ import (
 // clean run, tail latency must inflate by at most two retransmission
 // timeouts, every corrupted frame must be caught by the header checksum
 // (zero corrupt frames dispatched), and nothing may hang — every request
-// completes. The timing-stack sweep is virtual-time deterministic and
-// asserted (CI runs it as a smoke test); the functional half drives the same
-// injector through real NICs, goroutines, and the reliable transport.
+// completes. The sweep is virtual-time deterministic and asserted (CI runs it
+// as a smoke test). The functional stack's gates under the same injector are
+// tests: TestChaosInFabricEcho (internal/core), TestBridgeRPCOverLossyLink and
+// TestBridgeDeadLetterFailsFast (internal/transport).
 
 // ChaosPointConfig parametrizes one timing-stack chaos point.
 type ChaosPointConfig struct {
@@ -217,17 +217,5 @@ func RunChaos(w io.Writer, quick bool) error {
 		// keeps.
 		PublishMetrics("chaos", r.Metrics)
 	}
-
-	fmt.Fprintln(w, "  functional stack (real NICs, goroutines, reliable transport; same injector):")
-	fr, err := overload.RunChaos(overload.ChaosConfig{Quick: quick})
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "    in-fabric: %d calls, %d ok, %d timed out, %d corrupt accepted (NIC caught %d/%d)\n",
-		fr.Calls, fr.Succeeded, fr.TimedOut, fr.CorruptAccepted, fr.NICCorruptDrops, fr.NICCorrupts)
-	fmt.Fprintf(w, "    lossy transport: %d/%d calls ok over %.1f%% datagram loss (%d retransmits)\n",
-		fr.LossySucceeded, fr.LossyCalls, 100*fr.LossRate, fr.Retransmits)
-	fmt.Fprintf(w, "    dead peer: failed fast in %v with ErrPeerDead (%d dead letters)\n",
-		fr.DeadLatency, fr.DeadLetters)
 	return nil
 }

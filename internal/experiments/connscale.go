@@ -8,7 +8,6 @@ import (
 	"dagger/internal/interconnect"
 	"dagger/internal/metrics"
 	"dagger/internal/nicmodel"
-	"dagger/internal/overload"
 	"dagger/internal/sim"
 	"dagger/internal/stats"
 	"dagger/internal/wire"
@@ -142,14 +141,12 @@ func RunConnScalePoint(cfg ConnScaleConfig) *ConnScaleResult {
 // points.
 const connScaleCacheSize = 64
 
-// RunConnScale regenerates the connection-scalability curve (§4.2, Fig. 9)
-// on both substrates. The timing-stack sweep is deterministic and asserted
-// (CI runs it as a smoke test): p99 must stay flat — with zero misses —
-// while the working set fits the cache, and must degrade by the host-lookup
-// penalty, with every steady-state lookup missing, once the working set
-// doubles past it. The functional sweep drives the identical connstate
-// geometry through real NICs and asserts the same miss counters; its wall
-// clock latencies are indicative.
+// RunConnScale regenerates the connection-scalability curve (§4.2, Fig. 9).
+// The sweep is deterministic and asserted (CI runs it as a smoke test): p99
+// must stay flat — with zero misses — while the working set fits the cache,
+// and must degrade by the host-lookup penalty, with every steady-state lookup
+// missing, once the working set doubles past it. TestConnMissCountsAtScale
+// (internal/core) pins the functional stack's exact miss counts.
 func RunConnScale(w io.Writer, quick bool) error {
 	fmt.Fprintln(w, "connection scalability (§4.2, Fig. 9): p99 vs active connections under a bounded near-memory cache (timing stack)")
 	iface := interconnect.Config{Kind: interconnect.UPI, Batch: 1}
@@ -201,22 +198,5 @@ func RunConnScale(w io.Writer, quick bool) error {
 		// unified report keeps.
 		PublishMetrics("connscale", r.Metrics)
 	}
-
-	fmt.Fprintln(w, "  functional stack (real NICs and goroutines; miss counters asserted, latency indicative):")
-	rounds := 6
-	if quick {
-		rounds = 3
-	}
-	fr, err := overload.RunConnScale(overload.ConnScaleConfig{Rounds: rounds})
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "    fit   %3d conns (C=%d): calls=%d misses=%d p50=%v p99=%v\n",
-		fr.FitConns, fr.CacheSize, fr.FitCalls, fr.FitMisses, fr.FitP50, fr.FitP99)
-	fmt.Fprintf(w, "    spill %3d conns:        calls=%d misses=%d (%.0f%%) p50=%v p99=%v\n",
-		fr.SpillConns, fr.SpillCalls, fr.SpillMisses,
-		100*float64(fr.SpillMisses)/float64(max(1, fr.SpillCalls)), fr.SpillP50, fr.SpillP99)
-	fmt.Fprintf(w, "    churn: all %d conns closed, server table drained to %d entries\n",
-		fr.SpillConns, fr.FinalOpen)
 	return nil
 }

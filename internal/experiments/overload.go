@@ -4,12 +4,10 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"time"
 
 	"dagger/internal/interconnect"
 	"dagger/internal/metrics"
 	"dagger/internal/nicmodel"
-	"dagger/internal/overload"
 	"dagger/internal/sim"
 	"dagger/internal/stats"
 	"dagger/internal/wire"
@@ -181,12 +179,11 @@ const overloadBudgetMicros = 50
 
 // RunOverload regenerates the paper's overload/tail-latency story (§4.2,
 // Fig. 7 dispatcher): an open-loop load sweep past server saturation, run
-// with budget shedding off and on, on both substrates. The timing-stack
-// sweep is deterministic and asserts the separation the shed policy exists
-// to produce: past saturation, the p99 of completed requests with shedding
-// on stays near the budget while without shedding it grows with the
-// backlog. The functional-stack sweep drives the same policy through real
-// goroutines and wall clocks (indicative, not asserted).
+// with budget shedding off and on. The sweep is deterministic and asserts
+// the separation the shed policy exists to produce: past saturation, the p99
+// of completed requests with shedding on stays near the budget while without
+// shedding it grows with the backlog. TestServerShedsExpiredRequests
+// (internal/core) pins the functional stack's shed path.
 func RunOverload(w io.Writer, quick bool) error {
 	fmt.Fprintln(w, "§4.2 overload: deadline-budget shedding under open-loop load (timing stack)")
 	iface := interconnect.Config{Kind: interconnect.UPI, Batch: 1}
@@ -224,26 +221,5 @@ func RunOverload(w io.Writer, quick bool) error {
 		return fmt.Errorf("overload: no requests shed at %.1fx saturation", 2.5)
 	}
 	PublishMetrics("overload", last.on.Metrics)
-
-	fmt.Fprintln(w, "  functional stack (real goroutines, wall clock; indicative):")
-	fdur := 300 * time.Millisecond
-	if quick {
-		fdur = 150 * time.Millisecond
-	}
-	for _, shed := range []bool{false, true} {
-		fr, err := overload.Run(overload.Config{
-			OfferedMultiple: 2.5, Duration: fdur, Shed: shed, Seed: 11,
-		})
-		if err != nil {
-			return err
-		}
-		mode := "off"
-		if shed {
-			mode = "on"
-		}
-		fmt.Fprintf(w, "    shed %-3s: issued=%d completed=%d shed=%d p50=%.2fms p99=%.2fms\n",
-			mode, fr.Issued, fr.Completed, fr.Shed,
-			float64(fr.P50.Microseconds())/1e3, float64(fr.P99.Microseconds())/1e3)
-	}
 	return nil
 }

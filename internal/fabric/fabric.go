@@ -334,14 +334,8 @@ func (n *SoftNIC) describeMetrics(reg *metrics.Registry) {
 	reg.RegisterCounter("fault.corrupted", &n.FaultCorrupts)
 	reg.RegisterCounter("fault.corrupt.dropped", &n.CorruptDrops)
 	n.frameBytes = reg.Histogram("frame.bytes")
-	reg.Func("mark.rx.stamped", func() int64 { return int64(n.Marks()) })
-	reg.Func("drop.rx.ring", func() int64 {
-		var total uint64
-		for _, fl := range n.flows {
-			total += fl.Dropped()
-		}
-		return int64(total)
-	})
+	reg.Func("mark.rx.stamped", n.sumFlows((*Flow).Marked))
+	reg.Func("drop.rx.ring", n.sumFlows((*Flow).Dropped))
 	reg.Func("conn.hits", func() int64 { return int64(n.ConnStats().Hits) })
 	reg.Func("conn.misses", func() int64 { return int64(n.ConnStats().Misses) })
 	reg.Func("conn.evictions", func() int64 { return int64(n.ConnStats().Evictions) })
@@ -357,17 +351,19 @@ func (n *SoftNIC) describeMetrics(reg *metrics.Registry) {
 	})
 }
 
+// sumFlows returns a gauge summing one per-flow counter over the NIC's flows.
+func (n *SoftNIC) sumFlows(count func(*Flow) uint64) func() int64 {
+	return func() int64 {
+		var total uint64
+		for _, fl := range n.flows {
+			total += count(fl)
+		}
+		return int64(total)
+	}
+}
+
 // Addr returns the NIC's fabric address.
 func (n *SoftNIC) Addr() uint32 { return n.addr }
-
-// Marks returns the total congestion marks stamped at this NIC's flow rings.
-func (n *SoftNIC) Marks() uint64 {
-	var total uint64
-	for _, fl := range n.flows {
-		total += fl.Marked()
-	}
-	return total
-}
 
 // NumFlows returns the flow count (hard configuration).
 func (n *SoftNIC) NumFlows() int { return len(n.flows) }
@@ -414,18 +410,6 @@ func (n *SoftNIC) ConnStats() connstate.Stats {
 	defer n.mu.RUnlock()
 	return n.conns.Stats()
 }
-
-// ConnHits returns the number of steering lookups served from the
-// connection cache.
-func (n *SoftNIC) ConnHits() uint64 { return n.ConnStats().Hits }
-
-// ConnMisses returns the number of steering lookups that fell back to the
-// host backing store.
-func (n *SoftNIC) ConnMisses() uint64 { return n.ConnStats().Misses }
-
-// ConnEvictions returns the number of cached connection entries displaced
-// by direct-mapped conflicts.
-func (n *SoftNIC) ConnEvictions() uint64 { return n.ConnStats().Evictions }
 
 // ConnOpenCount returns the number of connections the NIC currently holds
 // state for (cached or in the backing store). Close propagation keeps this

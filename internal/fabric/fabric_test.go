@@ -284,7 +284,7 @@ func TestFabricCongestionMarking(t *testing.T) {
 	if got := fl.Marked(); got != depth/2 {
 		t.Fatalf("flow marked %d frames, want %d", got, depth/2)
 	}
-	if got := b.Marks(); got != depth/2 {
+	if got := b.Metrics().Snapshot().Value("mark.rx.stamped"); got != depth/2 {
 		t.Fatalf("NIC marks %d, want %d", got, depth/2)
 	}
 }
@@ -657,8 +657,8 @@ func TestFabricConnCacheThrash(t *testing.T) {
 	if st.Hits != 0 || st.Misses != 6 || st.Evictions != 7 {
 		t.Fatalf("stats = %+v, want 0 hits / 6 misses / 7 evictions", st)
 	}
-	if b.ConnHits() != 0 || b.ConnMisses() != 6 || b.ConnEvictions() != 7 {
-		t.Fatal("counter accessors disagree with ConnStats")
+	if s := b.Metrics().Snapshot(); s.Value("conn.hits") != 0 || s.Value("conn.misses") != 6 || s.Value("conn.evictions") != 7 {
+		t.Fatal("registry conn counters disagree with ConnStats")
 	}
 	// Every thrash-phase frame was stamped with the conn-miss mark.
 	missed := 0

@@ -23,6 +23,9 @@ import (
 var (
 	ErrNoPeer      = errors.New("transport: no peer owns destination address")
 	ErrBridgeClose = errors.New("transport: bridge closed")
+	// ErrRouteOverlap and ErrRouteInverted are RouteTable.Add's rejections.
+	ErrRouteOverlap  = errors.New("transport: route overlaps an existing route")
+	ErrRouteInverted = errors.New("transport: route range inverted")
 )
 
 // PacketConn is the datagram substrate a Bridge runs over: real UDP in
@@ -63,21 +66,25 @@ type RouteTable struct {
 	routes atomic.Pointer[[]Route] // sorted by Lo, non-overlapping
 }
 
-// NewRouteTable builds a table from routes.
+// NewRouteTable builds a table from program-built routes. It panics if Add
+// rejects one: a bad static table is a programming error.
 func NewRouteTable(routes ...Route) *RouteTable {
 	t := &RouteTable{}
 	for _, r := range routes {
-		t.Add(r)
+		if err := t.Add(r); err != nil {
+			panic(err)
+		}
 	}
 	return t
 }
 
-// Add inserts a route, keeping the table sorted. It panics on an inverted
-// range or one that overlaps an existing route (one address must resolve to
-// exactly one peer).
-func (t *RouteTable) Add(r Route) {
+// Add inserts a route, keeping the table sorted. It rejects an inverted
+// range (ErrRouteInverted) or one that overlaps an existing route
+// (ErrRouteOverlap: one address must resolve to exactly one peer), leaving
+// the table unchanged.
+func (t *RouteTable) Add(r Route) error {
 	if r.Hi < r.Lo {
-		panic(fmt.Sprintf("transport: route range [%d, %d] inverted", r.Lo, r.Hi))
+		return fmt.Errorf("%w: [%d, %d]", ErrRouteInverted, r.Lo, r.Hi)
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -87,16 +94,17 @@ func (t *RouteTable) Add(r Route) {
 	}
 	i := sort.Search(len(cur), func(j int) bool { return cur[j].Lo > r.Lo })
 	if i > 0 && cur[i-1].Hi >= r.Lo {
-		panic(fmt.Sprintf("transport: route [%d, %d] overlaps [%d, %d]", r.Lo, r.Hi, cur[i-1].Lo, cur[i-1].Hi))
+		return fmt.Errorf("%w: new [%d, %d], existing [%d, %d]", ErrRouteOverlap, r.Lo, r.Hi, cur[i-1].Lo, cur[i-1].Hi)
 	}
 	if i < len(cur) && cur[i].Lo <= r.Hi {
-		panic(fmt.Sprintf("transport: route [%d, %d] overlaps [%d, %d]", r.Lo, r.Hi, cur[i].Lo, cur[i].Hi))
+		return fmt.Errorf("%w: new [%d, %d], existing [%d, %d]", ErrRouteOverlap, r.Lo, r.Hi, cur[i].Lo, cur[i].Hi)
 	}
 	next := make([]Route, 0, len(cur)+1)
 	next = append(next, cur[:i]...)
 	next = append(next, r)
 	next = append(next, cur[i:]...)
 	t.routes.Store(&next)
+	return nil
 }
 
 // Resolve returns the endpoint owning addr: a binary search for the route

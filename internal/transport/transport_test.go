@@ -84,14 +84,13 @@ func TestRouteTableRejectsOverlap(t *testing.T) {
 		{{Lo: 100, Hi: 199, Endpoint: "a"}, {Lo: 120, Hi: 130, Endpoint: "b"}},
 	}
 	for i, pair := range overlaps {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("case %d: overlapping route accepted", i)
-				}
-			}()
-			NewRouteTable(pair[0], pair[1])
-		}()
+		rt := NewRouteTable(pair[0])
+		if err := rt.Add(pair[1]); !errors.Is(err, ErrRouteOverlap) {
+			t.Errorf("case %d: Add(%v) = %v, want ErrRouteOverlap", i, pair[1], err)
+		}
+		if ep, ok := rt.Resolve(pair[1].Hi); ok && ep != pair[0].Endpoint {
+			t.Errorf("case %d: rejected route was installed (resolves to %q)", i, ep)
+		}
 	}
 }
 
@@ -315,8 +314,6 @@ func TestUDPConnRoundTrip(t *testing.T) {
 
 func twoHosts(t *testing.T) (cliFab, srvFab *fabric.Fabric, cleanup func()) {
 	t.Helper()
-	cliFab = fabric.NewFabric()
-	srvFab = fabric.NewFabric()
 	cliConn, err := NewUDPConn("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -325,8 +322,16 @@ func twoHosts(t *testing.T) (cliFab, srvFab *fabric.Fabric, cleanup func()) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cliRel := NewReliable(cliConn, ReliableOptions{RTO: 10 * time.Millisecond})
-	srvRel := NewReliable(srvConn, ReliableOptions{RTO: 10 * time.Millisecond})
+	return bridgedHosts(cliConn, srvConn, 10*time.Millisecond)
+}
+
+// bridgedHosts joins a client fabric (NICs 1..99) and a server fabric (NICs
+// 100..199) through Reliable conns over cliConn and srvConn.
+func bridgedHosts(cliConn, srvConn PacketConn, rto time.Duration) (cliFab, srvFab *fabric.Fabric, cleanup func()) {
+	cliFab = fabric.NewFabric()
+	srvFab = fabric.NewFabric()
+	cliRel := NewReliable(cliConn, ReliableOptions{RTO: rto})
+	srvRel := NewReliable(srvConn, ReliableOptions{RTO: rto})
 	cliBridge := NewBridge(cliFab, cliRel, NewRouteTable(Route{Lo: 100, Hi: 199, Endpoint: srvConn.LocalEndpoint()}))
 	srvBridge := NewBridge(srvFab, srvRel, NewRouteTable(Route{Lo: 1, Hi: 99, Endpoint: cliConn.LocalEndpoint()}))
 	return cliFab, srvFab, func() {
@@ -338,14 +343,30 @@ func twoHosts(t *testing.T) (cliFab, srvFab *fabric.Fabric, cleanup func()) {
 func TestBridgeRPCOverUDP(t *testing.T) {
 	cliFab, srvFab, cleanup := twoHosts(t)
 	defer cleanup()
+	checkBridgedEcho(t, cliFab, srvFab, 20)
+}
 
+// TestBridgeRPCOverLossyLink is the chaos story's lossy-link gate: across a
+// datagram link losing 1% of packets, the reliable protocol must recover
+// every call byte-exactly.
+func TestBridgeRPCOverLossyLink(t *testing.T) {
+	net := newMemNet(0.01, 0xC4A05)
+	cliFab, srvFab, cleanup := bridgedHosts(net.conn("cli"), net.conn("srv"), 5*time.Millisecond)
+	defer cleanup()
+	checkBridgedEcho(t, cliFab, srvFab, 100)
+}
+
+// checkBridgedEcho serves echo on server NIC 100 and requires every one of
+// calls serial calls from client NIC 1 to come back byte-exactly.
+func checkBridgedEcho(t *testing.T, cliFab, srvFab *fabric.Fabric, calls int) {
+	t.Helper()
 	snic, err := srvFab.CreateNIC(100, 2, 256)
 	if err != nil {
 		t.Fatal(err)
 	}
 	srv := core.NewRpcThreadedServer(snic, core.ServerConfig{})
 	if err := srv.Register(0, "echo", func(_ context.Context, req []byte) ([]byte, error) {
-		return append([]byte("udp:"), req...), nil
+		return append([]byte("echo:"), req...), nil
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -366,13 +387,14 @@ func TestBridgeRPCOverUDP(t *testing.T) {
 	if _, err := cli.OpenConnection(100); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 20; i++ {
+	cli.SetTimeout(10 * time.Second) // recovery, not the timeout, must complete each call
+	for i := 0; i < calls; i++ {
 		msg := []byte(fmt.Sprintf("m%d", i))
 		resp, err := cli.Call(0, msg)
 		if err != nil {
 			t.Fatalf("call %d: %v", i, err)
 		}
-		if !bytes.Equal(resp, append([]byte("udp:"), msg...)) {
+		if !bytes.Equal(resp, append([]byte("echo:"), msg...)) {
 			t.Fatalf("call %d: resp %q", i, resp)
 		}
 	}
