@@ -188,8 +188,14 @@ func runClient(pc transport.PacketConn, peer string, clients, requests, payload 
 
 // dialServer builds a client pool on a fresh fabric bridged over pc to the
 // server at peer, with every client connected. stop closes the pool and the
-// bridge.
+// bridge. peer may name the server by hostname: it is resolved once to the
+// ip:port the server's replies come from, which the reliable protocol's
+// per-peer state must be keyed by.
 func dialServer(pc transport.PacketConn, peer string, clients int) (*core.RpcClientPool, func(), error) {
+	peer, err := transport.CanonicalEndpoint(peer)
+	if err != nil {
+		return nil, nil, err
+	}
 	fab := fabric.NewFabric()
 	nic, err := fab.CreateNIC(clientNICBase, clients, 4096)
 	if err != nil {

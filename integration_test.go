@@ -182,6 +182,10 @@ func TestTracedServiceOverUDP(t *testing.T) {
 			t.Fatalf("call %d: %q", i, resp)
 		}
 	}
+	// The server records a span after it sends the response, so the last
+	// one can land after the call returns; Stop waits for the dispatch
+	// threads.
+	srv.Stop()
 	rep := tc.Analyze()
 	if rep.Bottleneck() != "remote.work" {
 		t.Fatalf("trace report: %s", rep)

@@ -14,7 +14,7 @@ import (
 // mutex is provably still held (the missing-defer-unlock bug class).
 // It also machine-checks `// dagger:requires-lock <field>` annotations:
 // helpers documented as "caller holds <recv>.<field>" (e.g.
-// Reliable.session) must only be called where the simulation can prove
+// Reliable.peer) must only be called where the simulation can prove
 // that mutex is held.
 var LockSafety = &Analyzer{
 	Name: "locksafety",
@@ -65,9 +65,9 @@ func runLockSafety(pass *Pass) error {
 // function's doc comment:
 //
 //	// dagger:requires-lock mu
-//	func (r *Reliable) session(ep string) *txSession { ... }
+//	func (r *Reliable) peer(endpoint string) *peer { ... }
 //
-// declares that callers of r.session must hold r.mu at the call site.
+// declares that callers of r.peer must hold r.mu at the call site.
 const requiresLockPrefix = "dagger:requires-lock"
 
 // collectRequiresLock maps every annotated function in the package to the

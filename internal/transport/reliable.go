@@ -11,9 +11,10 @@ import (
 )
 
 // Reliable layers the paper's missing Protocol unit over a lossy
-// PacketConn: per-peer sequence numbers, explicit per-packet
-// acknowledgements, timer-driven retransmission, duplicate suppression at
-// the receiver, and an AIMD congestion window (the "RPC-optimized ...
+// PacketConn: per-peer sequence numbers, selective per-packet
+// acknowledgements piggybacked on reverse traffic, timer-driven
+// retransmission, duplicate suppression at the receiver, and an AIMD
+// congestion window (the "RPC-optimized ...
 // congestion control" §4.5 leaves for future work: additive increase per
 // acknowledged packet, multiplicative decrease on retransmission; packets
 // beyond the window queue at the sender). It itself implements PacketConn,
@@ -28,8 +29,7 @@ type Reliable struct {
 	backoff    retry.Policy
 
 	mu         sync.Mutex
-	tx         map[string]*txSession
-	rx         map[string]*rxSession
+	peers      map[string]*peer
 	handler    func([]byte, string)
 	deadLetter func(endpoint string, pkt []byte)
 	stop       chan struct{}
@@ -53,33 +53,61 @@ func (r *Reliable) DescribeMetrics(reg *metrics.Registry) {
 }
 
 type pendingPkt struct {
-	pkt      []byte
+	seq      uint64
+	payload  []byte // the caller's datagram; headers are built per transmission
 	deadline time.Time
 	tries    int
 }
 
-type txSession struct {
+// peer is the protocol state toward one endpoint: the send side (sequence
+// numbers, unacknowledged packets, congestion window) and the receive side
+// (duplicate suppression and the acks owed to the peer).
+type peer struct {
 	nextSeq uint64
 	unacked map[uint64]*pendingPkt
 	// AIMD congestion window, in packets.
 	cwnd    float64
-	waiting [][]byte // packets queued behind the window, already framed
+	waiting []*pendingPkt // packets queued behind the window
+
+	maxSeen uint64 // highest sequence delivered
+	seen    map[uint64]bool
+	anySeen bool
+	// acks are the data sequences received from the peer and not yet
+	// acknowledged; they ride on the next datagram sent to it.
+	acks []uint64
 }
 
 // rxWindow bounds the duplicate-suppression memory per peer.
 const rxWindow = 8192
 
-type rxSession struct {
-	maxSeen uint64 // highest sequence delivered
-	seen    map[uint64]bool
-	anySeen bool
-}
-
-// Packet types on the wire.
+// Datagram layout, integers little-endian:
+//
+//	[type|ackNow:1][seq:8][n:1][n × acked seq:8][payload]
+//
+// A data packet carries the acks its sender owes the receiver; a pure ack
+// (pktAck, seq 0) carries acks and no payload. ackNow asks the receiver to
+// acknowledge at once instead of waiting for reverse traffic.
 const (
 	pktData byte = 1
 	pktAck  byte = 2
+
+	flagAckNow byte = 0x80
+	hdrFixed        = 10
+	// maxAcks caps the acks one datagram carries; a receiver holding this
+	// many sends a pure ack at once.
+	maxAcks = 64
 )
+
+// dgramPool recycles the buffers datagrams are built in: each is framed,
+// handed to the inner conn and returned within one transmission. A buffer
+// too small for the next datagram is replaced by one sized to it.
+var dgramPool sync.Pool // of *[]byte
+
+// outDgram is a framed datagram built under the lock, sent after it.
+type outDgram struct {
+	endpoint string
+	buf      *[]byte
+}
 
 // ReliableOptions tunes the protocol.
 type ReliableOptions struct {
@@ -133,8 +161,7 @@ func NewReliable(inner PacketConn, opts ReliableOptions) *Reliable {
 		initWnd:    opts.InitialWindow,
 		maxWnd:     opts.MaxWindow,
 		backoff:    opts.Backoff,
-		tx:         make(map[string]*txSession),
-		rx:         make(map[string]*rxSession),
+		peers:      make(map[string]*peer),
 		stop:       make(chan struct{}),
 	}
 	inner.SetHandler(r.onPacket)
@@ -148,51 +175,97 @@ func NewReliable(inner PacketConn, opts ReliableOptions) *Reliable {
 // congestion window queue at the sender and drain as acks arrive.
 func (r *Reliable) Send(endpoint string, pkt []byte) error {
 	r.mu.Lock()
-	s := r.session(endpoint)
-	s.nextSeq++
-	seq := s.nextSeq
-	framed := make([]byte, 9+len(pkt))
-	framed[0] = pktData
-	binary.LittleEndian.PutUint64(framed[1:], seq)
-	copy(framed[9:], pkt)
-	if float64(len(s.unacked)) >= s.cwnd {
-		s.waiting = append(s.waiting, framed)
+	p := r.peer(endpoint)
+	p.nextSeq++
+	pp := &pendingPkt{seq: p.nextSeq, payload: append([]byte(nil), pkt...)}
+	if float64(len(p.unacked)) >= p.cwnd {
+		p.waiting = append(p.waiting, pp)
 		r.mu.Unlock()
 		return nil
 	}
-	s.unacked[seq] = &pendingPkt{pkt: framed, deadline: time.Now().Add(r.rto)}
+	d := r.admit(p, pp, time.Now())
 	r.mu.Unlock()
-	return r.inner.Send(endpoint, framed)
+	return r.transmit(endpoint, d)
 }
 
-// session returns (creating if needed) the tx session for endpoint. Caller
-// holds r.mu.
+// peer returns (creating if needed) the protocol state toward endpoint.
 //
 // dagger:requires-lock mu
-func (r *Reliable) session(endpoint string) *txSession {
-	s := r.tx[endpoint]
-	if s == nil {
-		s = &txSession{unacked: make(map[uint64]*pendingPkt), cwnd: r.initWnd}
-		r.tx[endpoint] = s
+func (r *Reliable) peer(endpoint string) *peer {
+	p := r.peers[endpoint]
+	if p == nil {
+		p = &peer{
+			unacked: make(map[uint64]*pendingPkt),
+			cwnd:    r.initWnd,
+			seen:    make(map[uint64]bool),
+		}
+		r.peers[endpoint] = p
 	}
-	return s
+	return p
 }
 
-// drainWindow releases queued packets into a freshly opened window. Caller
-// holds r.mu; released packets are returned for sending outside the lock.
+// admit puts pp into p's window and frames its first transmission. The
+// packet asks for an immediate ack when it fills the window or others queue
+// behind it: the sender cannot progress until acks come back, so they must
+// not wait for reverse traffic.
 //
 // dagger:requires-lock mu
-func (r *Reliable) drainWindow(s *txSession) [][]byte {
-	if len(s.waiting) == 0 {
-		return nil
+func (r *Reliable) admit(p *peer, pp *pendingPkt, now time.Time) *[]byte {
+	pp.deadline = now.Add(r.rto)
+	p.unacked[pp.seq] = pp
+	ackNow := float64(len(p.unacked)) >= p.cwnd || len(p.waiting) > 0
+	return r.frame(p, pktData, pp.seq, ackNow, pp.payload)
+}
+
+// frame builds one datagram toward p in a pooled buffer, taking up to
+// maxAcks of the acks owed to p.
+//
+// dagger:requires-lock mu
+func (r *Reliable) frame(p *peer, typ byte, seq uint64, ackNow bool, payload []byte) *[]byte {
+	n := min(len(p.acks), maxAcks)
+	size := hdrFixed + 8*n + len(payload)
+	bp, _ := dgramPool.Get().(*[]byte)
+	if bp == nil || cap(*bp) < size {
+		b := make([]byte, size)
+		bp = &b
 	}
-	out := make([][]byte, 0, len(s.waiting))
-	for len(s.waiting) > 0 && float64(len(s.unacked)) < s.cwnd {
-		framed := s.waiting[0]
-		s.waiting = s.waiting[1:]
-		seq := binary.LittleEndian.Uint64(framed[1:9])
-		s.unacked[seq] = &pendingPkt{pkt: framed, deadline: time.Now().Add(r.rto)}
-		out = append(out, framed)
+	b := (*bp)[:size]
+	if ackNow {
+		typ |= flagAckNow
+	}
+	b[0] = typ
+	binary.LittleEndian.PutUint64(b[1:], seq)
+	b[9] = byte(n)
+	for i, a := range p.acks[:n] {
+		binary.LittleEndian.PutUint64(b[hdrFixed+8*i:], a)
+	}
+	copy(b[hdrFixed+8*n:], payload)
+	p.acks = append(p.acks[:0], p.acks[n:]...)
+	*bp = b
+	return bp
+}
+
+// transmit sends a framed datagram and recycles its buffer.
+func (r *Reliable) transmit(endpoint string, bp *[]byte) error {
+	err := r.inner.Send(endpoint, *bp)
+	dgramPool.Put(bp)
+	return err
+}
+
+// drainWindow releases queued packets into a freshly opened window,
+// appending their datagrams to out for sending outside the lock.
+//
+// dagger:requires-lock mu
+func (r *Reliable) drainWindow(endpoint string, p *peer, out []outDgram) []outDgram {
+	if len(p.waiting) == 0 {
+		return out
+	}
+	now := time.Now()
+	for len(p.waiting) > 0 && float64(len(p.unacked)) < p.cwnd {
+		pp := p.waiting[0]
+		p.waiting[0] = nil
+		p.waiting = p.waiting[1:]
+		out = append(out, outDgram{endpoint, r.admit(p, pp, now)})
 	}
 	return out
 }
@@ -233,8 +306,8 @@ func (r *Reliable) Unacked() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	n := 0
-	for _, s := range r.tx {
-		n += len(s.unacked)
+	for _, p := range r.peers {
+		n += len(p.unacked)
 	}
 	return n
 }
@@ -244,8 +317,8 @@ func (r *Reliable) Queued() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	n := 0
-	for _, s := range r.tx {
-		n += len(s.waiting)
+	for _, p := range r.peers {
+		n += len(p.waiting)
 	}
 	return n
 }
@@ -255,89 +328,103 @@ func (r *Reliable) Queued() int {
 func (r *Reliable) Window(endpoint string) float64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if s := r.tx[endpoint]; s != nil {
-		return s.cwnd
+	if p := r.peers[endpoint]; p != nil {
+		return p.cwnd
 	}
 	return r.initWnd
 }
 
 func (r *Reliable) onPacket(pkt []byte, from string) {
-	if len(pkt) < 9 {
+	if len(pkt) < hdrFixed {
 		return
 	}
-	typ := pkt[0]
+	typ := pkt[0] &^ flagAckNow
 	seq := binary.LittleEndian.Uint64(pkt[1:9])
-	switch typ {
-	case pktAck:
-		r.mu.Lock()
-		var release [][]byte
-		if s := r.tx[from]; s != nil {
-			if _, ok := s.unacked[seq]; ok {
-				delete(s.unacked, seq)
-				// Additive increase: one packet per window of acks.
-				s.cwnd += 1 / s.cwnd
-				if s.cwnd > r.maxWnd {
-					s.cwnd = r.maxWnd
-				}
-			}
-			release = r.drainWindow(s)
+	n := int(pkt[9])
+	body := hdrFixed + 8*n
+	if (typ != pktData && typ != pktAck) || len(pkt) < body {
+		return
+	}
+	r.mu.Lock()
+	p := r.peers[from]
+	if p == nil && typ == pktAck {
+		r.mu.Unlock() // acks for a peer never sent to acknowledge nothing
+		return
+	}
+	p = r.peer(from)
+	for i := 0; i < n; i++ {
+		acked := binary.LittleEndian.Uint64(pkt[hdrFixed+8*i:])
+		if _, ok := p.unacked[acked]; ok {
+			delete(p.unacked, acked)
+			// Additive increase: one packet per window of acks.
+			p.cwnd = min(p.cwnd+1/p.cwnd, r.maxWnd)
 		}
-		r.mu.Unlock()
-		for _, framed := range release {
-			_ = r.inner.Send(from, framed)
-		}
-	case pktData:
-		// Always (re-)acknowledge, even duplicates: the ack may have been
-		// lost.
-		var ack [9]byte
-		ack[0] = pktAck
-		binary.LittleEndian.PutUint64(ack[1:], seq)
-		_ = r.inner.Send(from, ack[:])
-
-		r.mu.Lock()
-		s := r.rx[from]
-		if s == nil {
-			s = &rxSession{seen: make(map[uint64]bool)}
-			r.rx[from] = s
-		}
-		dup := s.seen[seq] || (s.anySeen && seq+rxWindow <= s.maxSeen)
-		if !dup {
-			s.seen[seq] = true
-			if seq > s.maxSeen || !s.anySeen {
-				s.maxSeen = seq
-				s.anySeen = true
-			}
-			// Trim the window.
-			if len(s.seen) > 2*rxWindow {
-				for old := range s.seen {
-					if old+rxWindow <= s.maxSeen {
-						delete(s.seen, old)
-					}
-				}
-			}
-		} else {
+	}
+	deliver, flush := false, false
+	if typ == pktData {
+		// Every data packet is (re-)acknowledged, duplicates too: the
+		// earlier ack may have been lost.
+		p.acks = append(p.acks, seq)
+		dup := p.seenBefore(seq)
+		if dup {
 			r.Duplicates.Add(1)
 		}
-		h := r.handler
-		r.mu.Unlock()
-		if !dup && h != nil {
-			h(pkt[9:], from)
-		}
+		deliver = !dup
+		flush = pkt[0]&flagAckNow != 0 || dup || len(p.acks) >= maxAcks
+	}
+	var outBuf [4]outDgram
+	out := r.drainWindow(from, p, outBuf[:0])
+	if flush && len(p.acks) > 0 {
+		out = append(out, outDgram{from, r.frame(p, pktAck, 0, false, nil)})
+	}
+	h := r.handler
+	r.mu.Unlock()
+	for _, d := range out {
+		_ = r.transmit(d.endpoint, d.buf)
+	}
+	if deliver && h != nil {
+		h(pkt[body:], from)
 	}
 }
 
+// seenBefore records seq as delivered and reports whether it already was
+// (or is too old to tell, which counts as a duplicate).
+func (p *peer) seenBefore(seq uint64) bool {
+	if p.seen[seq] || (p.anySeen && seq+rxWindow <= p.maxSeen) {
+		return true
+	}
+	p.seen[seq] = true
+	if seq > p.maxSeen || !p.anySeen {
+		p.maxSeen = seq
+		p.anySeen = true
+	}
+	// Trim the window.
+	if len(p.seen) > 2*rxWindow {
+		for old := range p.seen {
+			if old+rxWindow <= p.maxSeen {
+				delete(p.seen, old)
+			}
+		}
+	}
+	return false
+}
+
+// retransmitLoop ticks every RTO/4: it retransmits overdue packets (each
+// asking for an immediate ack), abandons those out of retries, and flushes
+// acks no reverse traffic carried since the last tick — so a held ack waits
+// at most a quarter of the RTO.
 func (r *Reliable) retransmitLoop() {
 	defer r.wg.Done()
-	tick := time.NewTicker(r.rto / 2)
+	tick := time.NewTicker(r.rto / 4)
 	defer tick.Stop()
-	type resend struct {
+	type deadPkt struct {
 		endpoint string
 		pkt      []byte
 	}
 	// Reused across ticks so the steady-state retransmit scan is
 	// allocation-free.
-	due := make([]resend, 0, 64)
-	dead := make([]resend, 0, 16)
+	due := make([]outDgram, 0, 64)
+	dead := make([]deadPkt, 0, 16)
 	for {
 		select {
 		case <-r.stop:
@@ -347,47 +434,45 @@ func (r *Reliable) retransmitLoop() {
 			dead = dead[:0]
 			r.mu.Lock()
 			onDead := r.deadLetter
-			for ep, s := range r.tx {
+			for ep, p := range r.peers {
 				retransmitted := false
-				for seq, p := range s.unacked {
-					if now.Before(p.deadline) {
+				for seq, pp := range p.unacked {
+					if now.Before(pp.deadline) {
 						continue
 					}
-					p.tries++
-					if p.tries > r.maxRetries {
-						delete(s.unacked, seq)
+					pp.tries++
+					if pp.tries > r.maxRetries {
+						delete(p.unacked, seq)
 						r.GaveUp.Add(1)
 						if onDead != nil {
-							dead = append(dead, resend{ep, p.pkt[9:]})
+							dead = append(dead, deadPkt{ep, pp.payload})
 						}
 						continue
 					}
 					// Exponential backoff per attempt: the next deadline
 					// stretches with each retransmission of this packet.
 					retransmitted = true
-					p.deadline = now.Add(r.backoff.Backoff(p.tries))
+					pp.deadline = now.Add(r.backoff.Backoff(pp.tries))
 					r.Retransmits.Add(1)
-					due = append(due, resend{ep, p.pkt})
+					due = append(due, outDgram{ep, r.frame(p, pktData, seq, true, pp.payload)})
 				}
 				if retransmitted {
 					// Multiplicative decrease on loss — but only when a live
 					// packet was actually retransmitted. A tick that only
-					// abandons packets (give-up storm after a peer death) says
-					// nothing new about path congestion, and halving per tick
-					// would collapse the window to 1 before the peer's
+					// abandons packets (give-up storm after a peer death)
+					// says nothing new about path congestion, and halving per
+					// tick would collapse the window to 1 before the peer's
 					// replacement ever saw traffic.
-					s.cwnd /= 2
-					if s.cwnd < 1 {
-						s.cwnd = 1
-					}
+					p.cwnd = max(p.cwnd/2, 1)
 				}
-				for _, framed := range r.drainWindow(s) {
-					due = append(due, resend{ep, framed})
+				due = r.drainWindow(ep, p, due)
+				for len(p.acks) > 0 {
+					due = append(due, outDgram{ep, r.frame(p, pktAck, 0, false, nil)})
 				}
 			}
 			r.mu.Unlock()
 			for _, d := range due {
-				_ = r.inner.Send(d.endpoint, d.pkt)
+				_ = r.transmit(d.endpoint, d.buf)
 			}
 			for _, d := range dead {
 				r.DeadLetters.Add(1)

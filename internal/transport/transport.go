@@ -2,8 +2,15 @@
 // implements the Transport layer of Figure 6 — a UDP/IP datagram path
 // between NICs — plus the Protocol unit the paper leaves as future work
 // (§4.5: "we plan to extend Dagger with reliable transports"): sequence
-// numbers, cumulative acknowledgements, retransmission and duplicate
-// suppression layered over the lossy datagram path.
+// numbers, retransmission and duplicate suppression layered over the lossy
+// datagram path. Acknowledgements are selective (one per data packet) and
+// piggybacked: each datagram carries the acks owed to its destination, so
+// a request/response exchange costs two datagrams, not four. An ack with no
+// reverse traffic to ride on goes out at the retransmit loop's next tick,
+// at most a quarter of the RTO later, or at once when the packet asks for
+// it (ackNow: it fills the sender's window, has packets queued behind it,
+// or is a retransmission), when it is a duplicate, or when 64 acks are
+// owed.
 //
 // A Bridge attaches to a fabric.Fabric as its gateway: frames addressed to
 // NICs that are not local are forwarded to the peer host owning that
@@ -33,7 +40,8 @@ var (
 // must be safe for concurrent Send.
 type PacketConn interface {
 	// Send transmits one datagram to a peer named by an opaque endpoint
-	// string (host:port for UDP).
+	// string (host:port for UDP). pkt is borrowed for the call only: the
+	// caller may reuse it once Send returns.
 	Send(endpoint string, pkt []byte) error
 	// SetHandler installs the receive callback; it is invoked once per
 	// inbound datagram with the sender's endpoint. Must be called before

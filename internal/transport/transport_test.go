@@ -6,7 +6,9 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -111,6 +113,13 @@ type memNet struct {
 	conns map[string]*memConn
 	rng   *rand.Rand
 	loss  float64
+	sends atomic.Int64 // memConn.Send calls, lost datagrams included
+}
+
+func (n *memNet) setLoss(loss float64) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	n.loss = loss
 }
 
 func newMemNet(loss float64, seed int64) *memNet {
@@ -134,6 +143,7 @@ func (n *memNet) conn(name string) *memConn {
 }
 
 func (c *memConn) Send(endpoint string, pkt []byte) error {
+	c.net.sends.Add(1)
 	c.net.mu.Lock()
 	dst := c.net.conns[endpoint]
 	drop := c.net.rng.Float64() < c.net.loss
@@ -281,6 +291,152 @@ func TestReliableGivesUpEventually(t *testing.T) {
 	}
 }
 
+// ===== Piggybacked acknowledgements =====
+
+// noTick is an RTO long enough that no retransmit-loop tick (every RTO/4)
+// fires during a test: every datagram counted is protocol traffic, not a
+// timer's flush.
+const noTick = 10 * time.Second
+
+// TestAcksRideOnResponses: in N sequential request/response exchanges every
+// ack travels on reverse traffic, so the exchange costs exactly 2N
+// datagrams. The last response's ack is still held by the requester.
+func TestAcksRideOnResponses(t *testing.T) {
+	net := newMemNet(0, 10)
+	a := NewReliable(net.conn("a"), ReliableOptions{RTO: noTick})
+	defer a.Close()
+	b := NewReliable(net.conn("b"), ReliableOptions{RTO: noTick})
+	defer b.Close()
+	b.SetHandler(func(pkt []byte, from string) {
+		if err := b.Send(from, pkt); err != nil {
+			t.Error(err)
+		}
+	})
+	got := make(chan []byte, 1)
+	a.SetHandler(func(pkt []byte, _ string) { got <- append([]byte(nil), pkt...) })
+
+	const n = 40
+	for i := 0; i < n; i++ {
+		if err := a.Send("b", []byte{byte(i)}); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case p := <-got:
+			if p[0] != byte(i) {
+				t.Fatalf("exchange %d: response %v", i, p)
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatalf("exchange %d: no response", i)
+		}
+	}
+	if got := net.sends.Load(); got != 2*n {
+		t.Errorf("%d exchanges sent %d datagrams, want %d", n, got, 2*n)
+	}
+	if a.Unacked() != 0 || b.Unacked() != 1 {
+		t.Errorf("unacked a=%d b=%d, want 0 and 1 (last response's ack held)", a.Unacked(), b.Unacked())
+	}
+}
+
+// TestAckNowDrivesOneWayStream: a one-way stream has no reverse traffic to
+// carry acks, and the tick never fires, so a window-limited sender
+// progresses only because packets filling its window ask for an immediate
+// ack.
+func TestAckNowDrivesOneWayStream(t *testing.T) {
+	net := newMemNet(0, 11)
+	a := NewReliable(net.conn("a"), ReliableOptions{RTO: noTick, InitialWindow: 4, MaxWindow: 4})
+	defer a.Close()
+	b := NewReliable(net.conn("b"), ReliableOptions{RTO: noTick})
+	defer b.Close()
+	var delivered atomic.Int64
+	b.SetHandler(func([]byte, string) { delivered.Add(1) })
+	const n = 50
+	for i := 0; i < n; i++ {
+		if err := a.Send("b", []byte{byte(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for (delivered.Load() < n || a.Queued() > 0) && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if delivered.Load() != n || a.Queued() != 0 {
+		t.Fatalf("delivered %d of %d, %d still queued", delivered.Load(), n, a.Queued())
+	}
+	if r := a.Retransmits.Load(); r != 0 {
+		t.Fatalf("retransmits = %d, want 0", r)
+	}
+}
+
+// TestRetransmitIsAckedAtOnce: a retransmission asks for an immediate ack,
+// so the receiver answers it straight away rather than at its next tick.
+func TestRetransmitIsAckedAtOnce(t *testing.T) {
+	net := newMemNet(1, 12) // the first transmission is lost
+	a := NewReliable(net.conn("a"), ReliableOptions{RTO: 50 * time.Millisecond})
+	defer a.Close()
+	b := NewReliable(net.conn("b"), ReliableOptions{RTO: noTick})
+	defer b.Close()
+	b.SetHandler(func([]byte, string) {})
+	if err := a.Send("b", []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	net.setLoss(0)
+	deadline := time.Now().Add(time.Second) // well before b's first tick
+	for a.Unacked() > 0 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if a.Unacked() != 0 {
+		t.Fatal("retransmitted packet not acked before the receiver's tick")
+	}
+	if r := a.Retransmits.Load(); r != 1 {
+		t.Errorf("retransmits = %d, want 1", r)
+	}
+	// Lost original, retransmission, immediate pure ack.
+	if got := net.sends.Load(); got != 3 {
+		t.Errorf("sent %d datagrams, want 3", got)
+	}
+}
+
+// TestPureAckTriggers: with no reverse traffic and no tick, a receiver
+// holds its acks until a duplicate arrives (the sender missed an ack) or
+// maxAcks are owed; then one pure ack carries every ack owed.
+func TestPureAckTriggers(t *testing.T) {
+	net := newMemNet(0, 13)
+	got := make(chan []byte, 1)
+	net.conn("a").SetHandler(func(pkt []byte, _ string) { got <- pkt })
+	b := NewReliable(net.conn("b"), ReliableOptions{RTO: noTick})
+	defer b.Close()
+	b.SetHandler(func([]byte, string) {})
+	expect := func(what string, want []byte) {
+		t.Helper()
+		select {
+		case p := <-got:
+			if !bytes.Equal(p, want) {
+				t.Fatalf("%s: pure ack % x, want % x", what, p, want)
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatalf("%s: no pure ack", what)
+		}
+	}
+
+	first := datagram(pktData, 1, nil, []byte("x"))
+	b.onPacket(first, "a")
+	if n := net.sends.Load(); n != 0 {
+		t.Fatalf("first copy: %d datagrams sent, want the ack held", n)
+	}
+	b.onPacket(first, "a")
+	expect("duplicate", datagram(pktAck, 0, []uint64{1, 1}, nil))
+
+	acks := make([]uint64, maxAcks)
+	for i := range acks {
+		acks[i] = uint64(i + 2)
+		b.onPacket(datagram(pktData, acks[i], nil, nil), "a")
+	}
+	expect("maxAcks owed", datagram(pktAck, 0, acks, nil))
+	if n := net.sends.Load(); n != 2 {
+		t.Fatalf("%d datagrams sent, want 2 pure acks", n)
+	}
+}
+
 // ===== UDP conn =====
 
 func TestUDPConnRoundTrip(t *testing.T) {
@@ -307,6 +463,44 @@ func TestUDPConnRoundTrip(t *testing.T) {
 		}
 	case <-time.After(2 * time.Second):
 		t.Fatal("udp delivery timeout")
+	}
+}
+
+// TestUDPConnCanonicalEndpoints: endpoints are resolved to plain IPv4, so an
+// IPv4 socket can send to a peer named by hostname, and a dual-stack socket
+// names an IPv4 sender by the same ip:port that sender reports for itself.
+func TestUDPConnCanonicalEndpoints(t *testing.T) {
+	v4, err := NewUDPConn("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer v4.Close()
+	dual, err := NewUDPConn(":0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dual.Close()
+	_, dualPort, err := net.SplitHostPort(dual.LocalEndpoint())
+	if err != nil {
+		t.Fatal(err)
+	}
+	from := make(chan string, 1)
+	dual.SetHandler(func(_ []byte, f string) { from <- f })
+
+	byName := net.JoinHostPort("localhost", dualPort)
+	if err := v4.Send(byName, []byte("x")); err != nil {
+		t.Fatalf("IPv4 socket sending to %s: %v", byName, err)
+	}
+	select {
+	case f := <-from:
+		if f != v4.LocalEndpoint() {
+			t.Fatalf("from = %q, want %q", f, v4.LocalEndpoint())
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("udp delivery timeout")
+	}
+	if ep, err := CanonicalEndpoint(byName); err != nil || ep != "127.0.0.1:"+dualPort {
+		t.Fatalf("CanonicalEndpoint(%q) = %q, %v", byName, ep, err)
 	}
 }
 

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"net"
+	"net/netip"
 	"sync"
 	"sync/atomic"
 
@@ -12,13 +13,23 @@ import (
 // header fits comfortably (frames are at most wire.MaxPayload + one line).
 const maxDatagram = 20 * 1024
 
-// UDPConn is the production PacketConn: one UDP socket per host.
+// maxCachedEndpoints bounds each address cache. Inbound sources are chosen
+// by peers, so a cache that reaches the bound is emptied and refilled.
+const maxCachedEndpoints = 1024
+
+// UDPConn is the production PacketConn: one UDP socket per host. The from
+// endpoint it passes to the handler is always the sender's canonical
+// ip:port (IPv4 unmapped, see CanonicalEndpoint), so replies and
+// per-peer state keyed by it match a peer named the same way.
 type UDPConn struct {
 	conn    *net.UDPConn
 	mu      sync.RWMutex
 	handler func([]byte, string)
 	closed  atomic.Bool
 	wg      sync.WaitGroup
+
+	addrMu sync.RWMutex
+	addrs  map[string]netip.AddrPort // Send's resolved endpoints
 
 	Sent     metrics.Counter
 	Received metrics.Counter
@@ -41,7 +52,7 @@ func NewUDPConn(addr string) (*UDPConn, error) {
 	if err != nil {
 		return nil, err
 	}
-	u := &UDPConn{conn: conn}
+	u := &UDPConn{conn: conn, addrs: make(map[string]netip.AddrPort)}
 	u.wg.Add(1)
 	go u.recvLoop()
 	return u, nil
@@ -50,12 +61,23 @@ func NewUDPConn(addr string) (*UDPConn, error) {
 func (u *UDPConn) recvLoop() {
 	defer u.wg.Done()
 	buf := make([]byte, maxDatagram)
+	// names caches each source's endpoint string; only this goroutine
+	// touches it.
+	names := make(map[netip.AddrPort]string)
 	for {
-		n, from, err := u.conn.ReadFromUDP(buf)
+		n, src, err := u.conn.ReadFromUDPAddrPort(buf)
 		if err != nil {
 			return // socket closed
 		}
 		u.Received.Add(1)
+		from, ok := names[src]
+		if !ok {
+			if len(names) >= maxCachedEndpoints {
+				clear(names)
+			}
+			from = unmap(src).String()
+			names[src] = from
+		}
 		u.mu.RLock()
 		h := u.handler
 		u.mu.RUnlock()
@@ -63,7 +85,7 @@ func (u *UDPConn) recvLoop() {
 			// The receive buffer is reused across datagrams; handlers get
 			// a borrowed view per the PacketConn contract and copy if they
 			// retain it.
-			h(buf[:n], from.String())
+			h(buf[:n], from)
 		}
 	}
 }
@@ -73,15 +95,64 @@ func (u *UDPConn) Send(endpoint string, pkt []byte) error {
 	if u.closed.Load() {
 		return ErrBridgeClose
 	}
-	ua, err := net.ResolveUDPAddr("udp", endpoint)
+	ap, err := u.resolve(endpoint)
 	if err != nil {
 		return err
 	}
-	if _, err := u.conn.WriteToUDP(pkt, ua); err != nil {
+	if _, err := u.conn.WriteToUDPAddrPort(pkt, ap); err != nil {
 		return err
 	}
 	u.Sent.Add(1)
 	return nil
+}
+
+// resolve returns endpoint's address, resolving it on first use only.
+func (u *UDPConn) resolve(endpoint string) (netip.AddrPort, error) {
+	u.addrMu.RLock()
+	ap, ok := u.addrs[endpoint]
+	u.addrMu.RUnlock()
+	if ok {
+		return ap, nil
+	}
+	ap, err := resolveUDP(endpoint)
+	if err != nil {
+		return ap, err
+	}
+	u.addrMu.Lock()
+	if len(u.addrs) >= maxCachedEndpoints {
+		clear(u.addrs)
+	}
+	u.addrs[endpoint] = ap
+	u.addrMu.Unlock()
+	return ap, nil
+}
+
+// resolveUDP resolves a host:port endpoint, host a name or an address.
+func resolveUDP(endpoint string) (netip.AddrPort, error) {
+	ua, err := net.ResolveUDPAddr("udp", endpoint)
+	if err != nil {
+		return netip.AddrPort{}, err
+	}
+	return unmap(ua.AddrPort()), nil
+}
+
+// unmap turns an IPv4-mapped IPv6 address into plain IPv4: the form an IPv4
+// socket accepts and the one datagrams from IPv4 peers are named by.
+func unmap(ap netip.AddrPort) netip.AddrPort {
+	return netip.AddrPortFrom(ap.Addr().Unmap(), ap.Port())
+}
+
+// CanonicalEndpoint resolves endpoint (host:port, host a name or an
+// address) to the ip:port string a UDPConn names that peer by in its
+// handler's from argument. Per-peer state is keyed by endpoint string, so a
+// peer named by hostname must be canonicalized before traffic flows, or the
+// replies it sends never match the state its requests created.
+func CanonicalEndpoint(endpoint string) (string, error) {
+	ap, err := resolveUDP(endpoint)
+	if err != nil {
+		return "", err
+	}
+	return ap.String(), nil
 }
 
 // SetHandler installs the receive callback.
