@@ -8,9 +8,11 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -64,6 +66,7 @@ const DefaultTimeout = 5 * time.Second
 type call struct {
 	id   uint64
 	conn uint32 // connection the call was issued on (congestion accounting)
+	fn   uint16
 	sync bool
 	done chan struct{}
 	cb   func([]byte, error)
@@ -426,8 +429,9 @@ func (c *RpcClient) CallAsync(fnID uint16, req []byte, cb func([]byte, error)) e
 // CallAsyncContext is CallAsync with a context. The ctx is consulted at issue
 // time — an expired or canceled ctx fails fast, and a ctx deadline is stamped
 // into the header so downstream tiers shed the request once it expires — but
-// a cancellation after issue does not revoke the callback: the response (or
-// the client timeout/close) completes it.
+// a cancellation after issue does not revoke the callback: the response, or
+// Close with ErrClientClose, completes it. The client timeout bounds
+// synchronous calls only.
 func (c *RpcClient) CallAsyncContext(ctx context.Context, fnID uint16, req []byte, cb func([]byte, error)) error {
 	c.mu.Lock()
 	conn := c.defaultConn
@@ -488,12 +492,15 @@ func (c *RpcClient) budgetFrom(ctx context.Context) (uint32, error) {
 }
 
 func (c *RpcClient) issue(connID uint32, fnID uint16, req []byte, budget uint32, cb func([]byte, error), sync bool) (*call, error) {
+	c.mu.Lock()
+	// Checked under mu: Close collects pending calls under mu after closing
+	// stop, so a call registered here is either refused or collected.
 	select {
 	case <-c.stop:
+		c.mu.Unlock()
 		return nil, ErrClientClose
 	default:
 	}
-	c.mu.Lock()
 	dst, ok := c.conns[connID]
 	if !ok {
 		c.mu.Unlock()
@@ -516,6 +523,7 @@ func (c *RpcClient) issue(connID uint32, fnID uint16, req []byte, budget uint32,
 	cl := callPool.Get().(*call)
 	cl.id = id
 	cl.conn = connID
+	cl.fn = fnID
 	cl.sync = sync
 	cl.cb = cb
 	c.pending[id] = cl
@@ -539,8 +547,11 @@ func (c *RpcClient) issue(connID uint32, fnID uint16, req []byte, budget uint32,
 		// this RPC id; the call is safe to recycle once unregistered.
 		if c.abandon(cl) {
 			c.release(cl)
+			return nil, err
 		}
-		return nil, err
+		// Close claimed the (asynchronous) call and completes it with
+		// ErrClientClose; reporting err as well would complete it twice.
+		return cl, nil
 	}
 	c.Issued.Add(1)
 	return cl, nil
@@ -574,6 +585,7 @@ func (c *RpcClient) release(cl *call) {
 	}
 	cl.id = 0
 	cl.conn = 0
+	cl.fn = 0
 	cl.sync = false
 	cl.cb = nil
 	cl.resp = nil
@@ -691,11 +703,31 @@ func (c *RpcClient) noteCompletionLocked(connID uint32, h *wire.Header) {
 	}
 }
 
-// Close shuts the client down; in-flight synchronous calls return
-// ErrClientClose.
+// Close shuts the client down. In-flight calls complete with
+// ErrClientClose: synchronous callers return it, and every pending
+// asynchronous call gets its completion and callback. Close returns once
+// they have run.
 func (c *RpcClient) Close() {
 	c.stopOnce.Do(func() { close(c.stop) })
 	c.recvWG.Wait()
+	// The receive loop has exited, so only Close completes calls now.
+	c.mu.Lock()
+	async := make([]*call, 0, len(c.pending))
+	for id, cl := range c.pending {
+		if !cl.sync {
+			delete(c.pending, id)
+			async = append(async, cl)
+		}
+	}
+	c.mu.Unlock()
+	slices.SortFunc(async, func(a, b *call) int { return cmp.Compare(a.id, b.id) })
+	for _, cl := range async {
+		c.cq.complete(completion{RPCID: cl.id, FnID: cl.fn, Err: ErrClientClose})
+		if cl.cb != nil {
+			cl.cb(nil, ErrClientClose)
+		}
+		c.release(cl)
+	}
 }
 
 // Response header flags.

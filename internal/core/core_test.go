@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"dagger/internal/fabric"
+	"dagger/internal/ringbuf"
 	"dagger/internal/sim"
 	"dagger/internal/trace"
 )
@@ -380,6 +381,121 @@ func TestClientCloseUnblocksCalls(t *testing.T) {
 	}
 	if _, err := cli.Call(0, nil); !errors.Is(err, ErrClientClose) {
 		t.Fatal("call after close should fail")
+	}
+}
+
+// TestClientCloseCompletesAsyncCalls: Close completes every pending
+// asynchronous call exactly once with ErrClientClose, through its callback
+// and the CompletionQueue, and no path leaks a pool loan.
+func TestClientCloseCompletesAsyncCalls(t *testing.T) {
+	f := fabric.NewFabric()
+	cnic, _ := f.CreateNIC(1, 1, 64)
+	snic, _ := f.CreateNIC(2, 1, 64) // no server: nothing is ever answered
+	cli, err := NewRpcClient(cnic, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cli.OpenConnection(2); err != nil {
+		t.Fatal(err)
+	}
+	const n = 10
+	var got []error
+	for i := 0; i < n; i++ {
+		if err := cli.CallAsync(0, []byte{byte(i)}, func(resp []byte, err error) {
+			if resp != nil {
+				t.Errorf("callback got response %q", resp)
+			}
+			got = append(got, err)
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cli.Close() // callbacks run before Close returns
+	if len(got) != n {
+		t.Fatalf("%d callbacks after Close, want %d", len(got), n)
+	}
+	for i, err := range got {
+		if !errors.Is(err, ErrClientClose) {
+			t.Fatalf("callback %d: err = %v, want ErrClientClose", i, err)
+		}
+	}
+	cs := cli.CompletionQueue().Poll(0)
+	if len(cs) != n {
+		t.Fatalf("%d completions queued, want %d", len(cs), n)
+	}
+	for i, c := range cs {
+		if c.RPCID != uint64(i+1) || !errors.Is(c.Err, ErrClientClose) {
+			t.Fatalf("completion %d = {RPCID %d, Err %v}, want {%d, ErrClientClose}", i, c.RPCID, c.Err, i+1)
+		}
+	}
+	if err := cli.CallAsync(0, nil, func([]byte, error) { t.Error("callback for a refused call") }); !errors.Is(err, ErrClientClose) {
+		t.Fatalf("CallAsync after Close: err = %v, want ErrClientClose", err)
+	}
+	cli.Close() // idempotent: nothing completes twice
+	if len(got) != n {
+		t.Fatalf("second Close ran %d more callbacks", len(got)-n)
+	}
+
+	// The unanswered requests sit in the server NIC's ring; repay them and
+	// every pool of the fabric balances.
+	cfl, _ := cnic.Flow(0)
+	sfl, _ := snic.Flow(0)
+	drained := 0
+	for frame, ok := sfl.TryRecv(); ok; frame, ok = sfl.TryRecv() {
+		sfl.Buffers().Put(frame)
+		drained++
+	}
+	if drained != n {
+		t.Fatalf("%d requests reached the server NIC, want %d", drained, n)
+	}
+	var gets, puts uint64
+	for _, p := range []*ringbuf.BufPool{f.Buffers(), cfl.Buffers(), sfl.Buffers()} {
+		g, p := p.Loans()
+		gets += g
+		puts += p
+	}
+	if gets != puts {
+		t.Fatalf("pool loans unbalanced: gets=%d puts=%d", gets, puts)
+	}
+}
+
+// TestClientCloseRacingAsyncIssue: asynchronous calls issued while Close
+// runs are either refused, or accepted and completed exactly once.
+func TestClientCloseRacingAsyncIssue(t *testing.T) {
+	f := fabric.NewFabric()
+	cnic, _ := f.CreateNIC(1, 1, 64)
+	_, _ = f.CreateNIC(2, 1, 1024) // no server: nothing is ever answered
+	cli, err := NewRpcClient(cnic, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cli.OpenConnection(2); err != nil {
+		t.Fatal(err)
+	}
+	var accepted, completed atomic.Int64
+	cb := func(_ []byte, err error) {
+		if !errors.Is(err, ErrClientClose) {
+			t.Errorf("callback err = %v, want ErrClientClose", err)
+		}
+		completed.Add(1)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 100; i++ {
+				if cli.CallAsync(0, nil, cb) == nil {
+					accepted.Add(1)
+				}
+			}
+		}()
+	}
+	cli.Close()
+	wg.Wait()
+	cli.Close() // completes nothing: issues after the first Close were refused
+	if a, c := accepted.Load(), completed.Load(); a != c {
+		t.Fatalf("%d calls accepted, %d completed", a, c)
 	}
 }
 

@@ -27,8 +27,10 @@
 //     including errors: the buffer is either delivered to a ring or returned
 //     to a pool. Callers must not touch the frame after Inject returns.
 //   - A Gateway borrows the frame only for the duration of the call and must
-//     not retain it after returning; implementations that queue or retransmit
-//     (UDP, Reliable) copy it first.
+//     not retain it after returning: transport.Bridge copies it into its
+//     peer's pending batch before returning, so the sender recycles the
+//     frame at once, and Reliable keeps its own copy of each batch it may
+//     retransmit.
 //   - Buffers handed to consumers by a pooled reassembler (Message.Payload)
 //     are owned by the consumer, which repays the loan with a Put on the same
 //     pool hierarchy when done.
@@ -692,7 +694,8 @@ func (n *SoftNIC) Send(m *wire.Message) error {
 // Gateway forwards frames addressed to NICs not present on this fabric —
 // the hook a cross-host transport (internal/transport) attaches to. The
 // frame is borrowed: the gateway must not retain it after returning, and
-// must copy it if transmission outlives the call.
+// must copy it if transmission outlives the call, as a gateway that queues
+// frames for a batched send does.
 type Gateway func(dstAddr uint32, frame []byte) error
 
 // Fabric connects SoftNICs by address.

@@ -5,17 +5,20 @@
 // numbers, retransmission and duplicate suppression layered over the lossy
 // datagram path. Acknowledgements are selective (one per data packet) and
 // piggybacked: each datagram carries the acks owed to its destination, so
-// a request/response exchange costs two datagrams, not four. An ack with no
-// reverse traffic to ride on goes out at the retransmit loop's next tick,
-// at most a quarter of the RTO later, or at once when the packet asks for
-// it (ackNow: it fills the sender's window, has packets queued behind it,
-// or is a retransmission), when it is a duplicate, or when 64 acks are
+// acks cost no datagrams of their own while traffic flows both ways. An ack
+// with no reverse traffic to ride on goes out at the retransmit loop's next
+// tick, at most a quarter of the RTO later, or at once when the packet asks
+// for it (ackNow: it fills the sender's window, has packets queued behind
+// it, or is a retransmission), when it is a duplicate, or when 64 acks are
 // owed.
 //
 // A Bridge attaches to a fabric.Fabric as its gateway: frames addressed to
 // NICs that are not local are forwarded to the peer host owning that
 // address, where the remote Bridge injects them into its own fabric with
-// the usual NIC-side steering.
+// the usual NIC-side steering. Forwarding is doorbell-batched: frames that
+// queue toward a peer while the previous datagram is being sent leave
+// together, back to back in one datagram, so under load many RPCs share a
+// datagram and at low load each frame goes alone, without waiting.
 package transport
 
 import (
@@ -30,6 +33,9 @@ import (
 var (
 	ErrNoPeer      = errors.New("transport: no peer owns destination address")
 	ErrBridgeClose = errors.New("transport: bridge closed")
+	// ErrDatagramTooLarge is UDPConn.Send's rejection of a datagram its
+	// peer's receive buffer could not hold whole.
+	ErrDatagramTooLarge = errors.New("transport: datagram too large")
 	// ErrRouteOverlap and ErrRouteInverted are RouteTable.Add's rejections.
 	ErrRouteOverlap  = errors.New("transport: route overlaps an existing route")
 	ErrRouteInverted = errors.New("transport: route range inverted")

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -15,6 +16,8 @@ import (
 	"dagger/internal/core"
 	"dagger/internal/fabric"
 	"dagger/internal/kvs/mica"
+	"dagger/internal/metrics"
+	"dagger/internal/wire"
 )
 
 // ===== Route table =====
@@ -466,6 +469,49 @@ func TestUDPConnRoundTrip(t *testing.T) {
 	}
 }
 
+// TestUDPConnDatagramBound: the largest datagram a bridge can hand the
+// reliable protocol (a full batch of whole lines) with maxAcks piggybacked
+// acks in front crosses a real socket byte-exact, and Send refuses a
+// datagram the receiver's buffer could not hold whole.
+func TestUDPConnDatagramBound(t *testing.T) {
+	a, err := NewUDPConn("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	b, err := NewUDPConn("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	got := make(chan []byte, 1)
+	b.SetHandler(func(pkt []byte, _ string) { got <- append([]byte(nil), pkt...) })
+
+	batch := make([]byte, batchCap/wire.CacheLineSize*wire.CacheLineSize)
+	for i := range batch {
+		batch[i] = byte(i * 7)
+	}
+	acks := make([]uint64, maxAcks)
+	for i := range acks {
+		acks[i] = uint64(i) << 40
+	}
+	dg := datagram(pktData, 1, acks, batch)
+	if err := a.Send(b.LocalEndpoint(), dg); err != nil {
+		t.Fatalf("sending a %d-byte datagram: %v", len(dg), err)
+	}
+	select {
+	case p := <-got:
+		if !bytes.Equal(p, dg) {
+			t.Fatalf("received %d bytes, want the %d sent", len(p), len(dg))
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("udp delivery timeout")
+	}
+	if err := a.Send(b.LocalEndpoint(), make([]byte, maxDatagram+1)); !errors.Is(err, ErrDatagramTooLarge) {
+		t.Fatalf("oversized datagram: err = %v, want ErrDatagramTooLarge", err)
+	}
+}
+
 // TestUDPConnCanonicalEndpoints: endpoints are resolved to plain IPv4, so an
 // IPv4 socket can send to a peer named by hostname, and a dual-stack socket
 // names an IPv4 sender by the same ip:port that sender reports for itself.
@@ -839,4 +885,259 @@ func TestBridgeDeadLetterFailsFast(t *testing.T) {
 	if cli.PeerDead.Load() != 1 {
 		t.Fatalf("client PeerDead = %d, want 1", cli.PeerDead.Load())
 	}
+}
+
+// ===== Doorbell batching =====
+
+// heldConn is a PacketConn whose first Send blocks until release is closed,
+// announcing itself on entered, so a test can queue frames behind a send in
+// progress. It records a copy of every datagram sent.
+type heldConn struct {
+	PacketConn
+	entered chan struct{}
+	release chan struct{}
+	once    sync.Once
+
+	mu   sync.Mutex
+	sent [][]byte
+}
+
+func hold(c PacketConn) *heldConn {
+	return &heldConn{PacketConn: c, entered: make(chan struct{}), release: make(chan struct{})}
+}
+
+func (h *heldConn) Send(endpoint string, pkt []byte) error {
+	h.mu.Lock()
+	h.sent = append(h.sent, append([]byte(nil), pkt...))
+	h.mu.Unlock()
+	h.once.Do(func() {
+		close(h.entered)
+		<-h.release
+	})
+	return h.PacketConn.Send(endpoint, pkt)
+}
+
+func (h *heldConn) datagrams() [][]byte {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return append([][]byte(nil), h.sent...)
+}
+
+// requestFrame marshals a request from NIC 1 to NIC 100 with a payload of
+// size bytes.
+func requestFrame(t *testing.T, rpcID uint64, size int) []byte {
+	t.Helper()
+	frame, err := wire.MarshalAppend(nil, &wire.Message{
+		Header:  wire.Header{Kind: wire.KindRequest, ConnID: 1, RPCID: rpcID, SrcAddr: 1, DstAddr: 100},
+		Payload: bytes.Repeat([]byte{byte(rpcID)}, size),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return frame
+}
+
+// waitFor polls cond until it holds, failing the test after five seconds.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestBridgeCoalescesQueuedFrames: frames forwarded while the TX goroutine
+// is inside Send leave as one datagram, whole frames back to back in
+// forwarding order; a frame that would take the batch past batchCap starts
+// the next datagram. The registry reports frames and datagrams exactly.
+func TestBridgeCoalescesQueuedFrames(t *testing.T) {
+	cases := []struct {
+		name   string
+		frames int
+		size   int   // payload bytes per frame
+		want   []int // frames per datagram after the plug
+	}{
+		{"one-line frames", 12, 8, []int{12}},
+		{"4 KB frames past the cap", 5, 4096 - wire.FirstLinePayload, []int{4, 1}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			net := newMemNet(0, 20)
+			net.conn("srv")
+			held := hold(net.conn("cli"))
+			b := NewBridge(fabric.NewFabric(), held, NewRouteTable(Route{Lo: 100, Hi: 199, Endpoint: "srv"}))
+			defer b.Close()
+			reg := metrics.New()
+			b.DescribeMetrics(reg)
+
+			if err := b.forward(100, requestFrame(t, 1000, 1)); err != nil {
+				t.Fatal(err)
+			}
+			<-held.entered // the plug is in Send; everything below queues
+			var frames [][]byte
+			for i := 0; i < tc.frames; i++ {
+				f := requestFrame(t, uint64(i+1), tc.size)
+				frames = append(frames, f)
+				if err := b.forward(100, f); err != nil {
+					t.Fatal(err)
+				}
+			}
+			close(held.release)
+			want := 1 + len(tc.want)
+			waitFor(t, "datagrams", func() bool { return b.Datagrams.Load() == uint64(want) })
+
+			sent := held.datagrams()
+			if len(sent) != want {
+				t.Fatalf("%d datagrams sent, want %d", len(sent), want)
+			}
+			for i, n := range tc.want {
+				dg := sent[1+i]
+				if len(dg) > batchCap {
+					t.Errorf("datagram %d is %d bytes, over batchCap %d", 1+i, len(dg), batchCap)
+				}
+				if wantDg := bytes.Join(frames[:n], nil); !bytes.Equal(dg, wantDg) {
+					t.Errorf("datagram %d: %d bytes, want %d frames back to back (%d bytes)", 1+i, len(dg), n, len(wantDg))
+				}
+				frames = frames[n:]
+			}
+			snap := reg.Snapshot()
+			if fw, dg := snap.Value("bridge.forwarded"), snap.Value("bridge.datagrams"); fw != int64(1+tc.frames) || dg != int64(want) {
+				t.Fatalf("bridge.forwarded=%d bridge.datagrams=%d, want %d and %d", fw, dg, 1+tc.frames, want)
+			}
+		})
+	}
+}
+
+// TestBridgeQueueBound: with the TX goroutine held in Send, forward accepts
+// maxQueued batches and then refuses, retryably, without blocking.
+func TestBridgeQueueBound(t *testing.T) {
+	net := newMemNet(0, 21)
+	net.conn("srv")
+	held := hold(net.conn("cli"))
+	b := NewBridge(fabric.NewFabric(), held, NewRouteTable(Route{Lo: 100, Hi: 199, Endpoint: "srv"}))
+	defer b.Close()
+	defer close(held.release)
+	if err := b.forward(100, requestFrame(t, 1000, 1)); err != nil {
+		t.Fatal(err)
+	}
+	<-held.entered
+	big := requestFrame(t, 1, wire.MaxPayload) // one per batch
+	for i := 0; i < maxQueued; i++ {
+		if err := b.forward(100, big); err != nil {
+			t.Fatalf("batch %d: %v", i, err)
+		}
+	}
+	if err := b.forward(100, big); !errors.Is(err, fabric.ErrRingFull) || !core.Retryable(err) {
+		t.Fatalf("forward past maxQueued: err = %v, want retryable fabric.ErrRingFull", err)
+	}
+	if b.TxFull.Load() != 1 {
+		t.Fatalf("TxFull = %d, want 1", b.TxFull.Load())
+	}
+}
+
+// TestBridgeDeadLetterBatch: when the reliable protocol abandons a batch of
+// K requests, each of the K callers fails fast with ErrPeerDead.
+func TestBridgeDeadLetterBatch(t *testing.T) {
+	net := newMemNet(1.0, 22) // the peer is unreachable
+	net.conn("srv")
+	held := hold(net.conn("cli"))
+	rel := NewReliable(held, ReliableOptions{RTO: 2 * time.Millisecond, MaxRetries: 3})
+	fab := fabric.NewFabric()
+	b := NewBridge(fab, rel, NewRouteTable(Route{Lo: 100, Hi: 100, Endpoint: "srv"}))
+	defer b.Close()
+	nic, err := fab.CreateNIC(1, 1, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cli, err := core.NewRpcClient(nic, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+	if _, err := cli.OpenConnection(100); err != nil {
+		t.Fatal(err)
+	}
+	cli.SetTimeout(30 * time.Second)
+
+	const k = 6
+	errs := make(chan error, k+1)
+	call := func() {
+		t.Helper()
+		if err := cli.CallAsync(0, []byte("into the void"), func(_ []byte, err error) { errs <- err }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	call() // the plug: its datagram holds the TX goroutine in Send
+	<-held.entered
+	for i := 0; i < k; i++ {
+		call()
+	}
+	close(held.release)
+	for i := 0; i < k+1; i++ {
+		select {
+		case err := <-errs:
+			if !errors.Is(err, core.ErrPeerDead) {
+				t.Fatalf("completion %d: err = %v, want ErrPeerDead", i, err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%d of %d calls completed", i, k+1)
+		}
+	}
+	if b.Datagrams.Load() != 2 || rel.DeadLetters.Load() != 2 {
+		t.Fatalf("datagrams=%d abandoned=%d, want the plug and one batch of %d", b.Datagrams.Load(), rel.DeadLetters.Load(), k)
+	}
+	if b.DeadLetters.Load() != k+1 || cli.PeerDead.Load() != k+1 {
+		t.Fatalf("bridge dead letters=%d client PeerDead=%d, want %d", b.DeadLetters.Load(), cli.PeerDead.Load(), k+1)
+	}
+}
+
+// TestBridgeCloseRacesForward: senders forwarding while the bridge closes
+// neither panic nor leak a pool loan, and Close leaves no bridge goroutine
+// behind.
+func TestBridgeCloseRacesForward(t *testing.T) {
+	base := runtime.NumGoroutine()
+	net := newMemNet(0, 23)
+	net.conn("srv")
+	fab := fabric.NewFabric()
+	b := NewBridge(fab, net.conn("cli"), NewRouteTable(Route{Lo: 100, Hi: 100, Endpoint: "srv"}))
+	nic, err := fab.CreateNIC(1, 4, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sent atomic.Int64
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			payload := make([]byte, 100*g)
+			for i := 0; ; i++ {
+				err := nic.Send(&wire.Message{
+					Header:  wire.Header{Kind: wire.KindRequest, ConnID: 1, RPCID: uint64(i), SrcAddr: 1, DstAddr: 100},
+					Payload: payload,
+				})
+				if err != nil {
+					if !errors.Is(err, ErrBridgeClose) && !errors.Is(err, fabric.ErrNoRoute) && !errors.Is(err, fabric.ErrRingFull) {
+						t.Errorf("send: %v", err)
+					}
+					if !errors.Is(err, fabric.ErrRingFull) {
+						return
+					}
+				}
+				sent.Add(1)
+			}
+		}(g)
+	}
+	waitFor(t, "traffic", func() bool { return sent.Load() > 100 })
+	if err := b.Close(); err != nil {
+		t.Fatal(err)
+	}
+	wg.Wait()
+	if gets, puts := fab.Buffers().Loans(); gets != puts {
+		t.Fatalf("fabric pool loans unbalanced: gets=%d puts=%d", gets, puts)
+	}
+	waitFor(t, "goroutines to exit", func() bool { return runtime.NumGoroutine() <= base })
 }

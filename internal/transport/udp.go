@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"fmt"
 	"net"
 	"net/netip"
 	"sync"
@@ -9,8 +10,9 @@ import (
 	"dagger/internal/metrics"
 )
 
-// maxDatagram bounds one UDP payload: a full Dagger frame plus the protocol
-// header fits comfortably (frames are at most wire.MaxPayload + one line).
+// maxDatagram bounds one UDP payload, and is the size of the receive
+// buffer: a Bridge batch (batchCap) plus the protocol header fits. Send
+// refuses anything larger, which the receiver would silently truncate.
 const maxDatagram = 20 * 1024
 
 // maxCachedEndpoints bounds each address cache. Inbound sources are chosen
@@ -90,10 +92,14 @@ func (u *UDPConn) recvLoop() {
 	}
 }
 
-// Send transmits one datagram to endpoint (host:port).
+// Send transmits one datagram to endpoint (host:port). A datagram longer
+// than maxDatagram fails with ErrDatagramTooLarge.
 func (u *UDPConn) Send(endpoint string, pkt []byte) error {
 	if u.closed.Load() {
 		return ErrBridgeClose
+	}
+	if len(pkt) > maxDatagram {
+		return fmt.Errorf("%w: %d bytes", ErrDatagramTooLarge, len(pkt))
 	}
 	ap, err := u.resolve(endpoint)
 	if err != nil {

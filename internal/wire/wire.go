@@ -384,6 +384,26 @@ func ParseHeader(buf []byte) (Header, error) {
 	return h, nil
 }
 
+// FrameSize returns the length of the frame at the front of buf, whole cache
+// lines as its header's Len field declares, so frames packed back to back
+// can be split apart. It checks bounds only, not the header: ErrTooLarge
+// when Len exceeds MaxPayload, ErrShortBuffer when buf ends before the
+// frame does.
+func FrameSize(buf []byte) (int, error) {
+	if len(buf) < CacheLineSize {
+		return 0, ErrShortBuffer
+	}
+	n := binary.LittleEndian.Uint32(buf[20:])
+	if n > MaxPayload {
+		return 0, ErrTooLarge
+	}
+	total := LinesFor(int(n)) * CacheLineSize
+	if len(buf) < total {
+		return 0, ErrShortBuffer
+	}
+	return total, nil
+}
+
 // Unmarshal decodes one frame from buf, returning the message, the number of
 // bytes consumed, and an error. The returned payload aliases buf; Unmarshal
 // itself retains nothing and the caller keeps ownership of buf.
